@@ -11,13 +11,7 @@ Rules, per figure present in *both* directories:
 
 * every series whose name ends in ``speedup`` must stay within
   tolerance of the baseline at every shared x (new >= old * (1 -
-  tolerance)).  The tolerance is **timebase-aware**, read from the
-  baseline figure's ``timebase`` key: ``"wall"`` figures
-  (``perf_counter`` measurements, e.g. abl-12-wallclock) get the
-  generous ``--wall-tolerance`` band because CI-runner load makes them
-  jitter; ``"virtual"`` figures are cost-model deterministic and are
-  held to (near-)exact reproduction; figures that declare no timebase
-  keep the legacy ``--tolerance``;
+  tolerance));
 * ``consistent`` must not flip from true to false.
 
 Figures without a baseline are reported but never fail the check (new
@@ -47,18 +41,6 @@ BENCH_DIR = Path(__file__).parent
 RESULTS_DIR = BENCH_DIR / "results"
 BASELINES_DIR = BENCH_DIR / "baselines"
 TRAJECTORY_PATH = BENCH_DIR.parent / "BENCH_ablations.json"
-
-#: repo-root wall-clock lane summaries folded into the trajectory (each
-#: wraps its figure under a ``"figure"`` key; produced by the
-#: bench_wallclock.py / bench_runtime.py CLIs).  Their figure JSONs in
-#: ``results/`` are ALSO guarded per-figure against ``baselines/`` at
-#: the ``--wall-tolerance`` band (their ``timebase: wall`` marker picks
-#: the band); this list only consolidates the summaries' trajectory
-#: records.
-WALL_SUMMARY_PATHS = (
-    BENCH_DIR.parent / "BENCH_wallclock.json",
-    BENCH_DIR.parent / "BENCH_runtime.json",
-)
 
 
 class BaselineError(Exception):
@@ -94,33 +76,9 @@ def _points_by_x(figure: dict) -> dict:
     }
 
 
-#: virtual-time series are deterministic replays of the cost model; a
-#: hair of float slack keeps the exact check robust across interpreters
-VIRTUAL_EPSILON = 1e-9
-
-
-def figure_tolerance(
-    baseline: dict, tolerance: float, wall_tolerance: float
-) -> float:
-    """Pick the band for one figure from its declared timebase."""
-    timebase = baseline.get("timebase")
-    if timebase == "wall":
-        return wall_tolerance
-    if timebase == "virtual":
-        return VIRTUAL_EPSILON
-    return tolerance
-
-
 def check_figure(
-    name: str,
-    baseline: dict,
-    current: dict,
-    tolerance: float,
-    wall_tolerance: float | None = None,
+    name: str, baseline: dict, current: dict, tolerance: float
 ) -> list[str]:
-    if wall_tolerance is None:
-        wall_tolerance = tolerance
-    tolerance = figure_tolerance(baseline, tolerance, wall_tolerance)
     failures: list[str] = []
     if baseline.get("consistent", True) and not current.get(
         "consistent", True
@@ -172,52 +130,28 @@ def write_trajectory(results_dir: Path, output_path: Path) -> int:
     """
     commit = _current_commit()
     records = []
-
-    def record_of(name: str, figure: dict) -> dict | None:
+    for result_path in sorted(results_dir.glob("abl-*.json")):
+        figure = _load(result_path)
         points = figure.get("points", [])
         if not points:
-            return None
+            continue
         speedups = _speedup_series(figure)
         series_names = figure.get("series_names", [])
         key = speedups[0] if speedups else (
             series_names[-1] if series_names else None
         )
         heaviest = points[-1]
-        entry = {
-            "name": name,
-            "figure_id": figure.get("figure_id", name),
-            "key_metric": key,
-            "value": heaviest["values"].get(key),
-            "x": heaviest["x"],
-            "consistent": figure.get("consistent", True),
-            "commit": commit,
-        }
-        if figure.get("timebase") is not None:
-            entry["timebase"] = figure["timebase"]
-        return entry
-
-    for result_path in sorted(results_dir.glob("abl-*.json")):
-        entry = record_of(result_path.stem, _load(result_path))
-        if entry is not None:
-            records.append(entry)
-    # Wall-clock lane summaries live at the repo root, outside the
-    # results glob; fold their wrapped figures in so the trajectory
-    # covers every lane (skipping any figure the glob already saw —
-    # the CLIs write both the per-figure JSON and the summary).
-    seen = {entry["figure_id"] for entry in records}
-    for summary_path in WALL_SUMMARY_PATHS:
-        if not summary_path.exists():
-            continue
-        figure = _load(summary_path).get("figure")
-        if not isinstance(figure, dict):
-            raise BaselineError(
-                f"{summary_path}: summary lacks a 'figure' object"
-            )
-        if figure.get("figure_id") in seen:
-            continue
-        entry = record_of(summary_path.stem, figure)
-        if entry is not None:
-            records.append(entry)
+        records.append(
+            {
+                "name": result_path.stem,
+                "figure_id": figure.get("figure_id", result_path.stem),
+                "key_metric": key,
+                "value": heaviest["values"].get(key),
+                "x": heaviest["x"],
+                "consistent": figure.get("consistent", True),
+                "commit": commit,
+            }
+        )
     output_path.write_text(
         json.dumps({"ablations": records}, indent=2, sort_keys=True)
         + "\n"
@@ -235,15 +169,6 @@ def main(argv: list[str] | None = None) -> int:
         "speedups are wall-clock and jitter with machine load; abl-6 is "
         "virtual-time deterministic and would catch any real break even "
         "at this tolerance)",
-    )
-    parser.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=0.75,
-        help="allowed fractional speedup drop for figures declaring "
-        "timebase=wall (perf_counter measurements jitter hard on shared "
-        "CI runners; 0.75 still fails when a supposed 2x+ speedup "
-        "collapses to parity)",
     )
     parser.add_argument(
         "--results",
@@ -307,11 +232,7 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(str(error))
             continue
         figure_failures = check_figure(
-            baseline_path.stem,
-            baseline,
-            current,
-            arguments.tolerance,
-            arguments.wall_tolerance,
+            baseline_path.stem, baseline, current, arguments.tolerance
         )
         failures.extend(figure_failures)
         compared.append(baseline_path.stem)

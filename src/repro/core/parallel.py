@@ -108,7 +108,6 @@ class ParallelScheduler(DynoScheduler):
             manager,
             strategy,
             max_iterations=max_iterations,
-            incremental_detection=True,
             batch_policy=batch_policy,
         )
         self.pool = WorkerPool(workers)
@@ -288,7 +287,7 @@ class ParallelScheduler(DynoScheduler):
         # The ready-set scan: drained substrate mutations plus one
         # incremental-rate sweep of the live graph.
         self._charge(
-            self._detection_work_cost(0, 0)
+            self._detection_work_cost()
             + cost.detection_incremental(
                 self.substrate.node_count, self.substrate.edge_count
             ),

@@ -36,7 +36,7 @@ relaxation of the inline one-shard-per-round rule, with ``STEP``
 dispatch ordered by ``(virtual clock, shard id)`` — and still produces
 per-shard results byte-identical to the inline coordinator.  Only the
 barrier deferral/release *counters* may differ (the round structure
-differs); everything the equivalence tests and ABL-13 compare —
+differs); everything the equivalence tests compare —
 extents, committed ``(source, seqno)`` sets, per-shard virtual clocks,
 install logs — is invariant.  The virtual clock itself cannot move:
 all virtual costs come from the cost model inside each world, and the

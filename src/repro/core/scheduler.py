@@ -42,7 +42,6 @@ from ..views.manager import ViewManager
 from ..views.umq import MaintenanceUnit
 from .anomalies import AnomalyType
 from .correction import CorrectionResult, correct, merge_all
-from .dependencies import NameResolver, find_dependencies, footprint_of_update
 from .incremental import IncrementalDependencyGraph
 from .strategies import PESSIMISTIC, BrokenQueryPolicy, Strategy
 
@@ -123,7 +122,6 @@ class DynoScheduler:
         strategy: Strategy = PESSIMISTIC,
         max_iterations: int = 1_000_000,
         defer_du_interval: float | None = None,
-        incremental_detection: bool = True,
         batch_policy: BatchPolicy | None = None,
     ) -> None:
         """``defer_du_interval`` enables *deferred* data-update
@@ -133,12 +131,6 @@ class DynoScheduler:
         refreshes, trading staleness for refresh cost.  Schema changes
         are never deferred: the moment one is queued, ordinary Dyno
         processing takes over.
-
-        ``incremental_detection`` maintains the dependency graph and the
-        footprint cache alongside the UMQ so each detection round costs
-        what *changed* since the last round, not the queue size; pass
-        ``False`` to rebuild from scratch every round (the paper's
-        original cost profile, kept for ablation).
 
         ``batch_policy`` arms adaptive group maintenance
         (:mod:`repro.maintenance.grouping`): before picking the head,
@@ -171,24 +163,24 @@ class DynoScheduler:
         #: unit ids already counted in ``stats.deferred_units`` for the
         #: current outage (cleared when the deferred set empties)
         self._counted_deferred_ids: set[int] = set()
-        self.substrate: IncrementalDependencyGraph | None = None
-        if incremental_detection:
-            self.substrate = IncrementalDependencyGraph(
-                self.umq,
-                view_queries=lambda: self.manager.maintenance_queries,
-                rewritten_query=self._speculative_rewrite,
-                epoch=lambda: (
-                    self.manager.detection_epoch,
-                    self.umq.received_schema_changes,
-                ),
-                metrics=self.manager.metrics,
-            )
+        #: the dependency graph and footprint cache, maintained
+        #: alongside the UMQ so each detection round costs what
+        #: *changed* since the last round, not the queue size
+        self.substrate = IncrementalDependencyGraph(
+            self.umq,
+            view_queries=lambda: self.manager.maintenance_queries,
+            rewritten_query=self._speculative_rewrite,
+            epoch=lambda: (
+                self.manager.detection_epoch,
+                self.umq.received_schema_changes,
+            ),
+            metrics=self.manager.metrics,
+        )
 
     def detach(self) -> None:
         """Unhook the substrate's UMQ listener (when this scheduler is
         replaced by another on the same queue)."""
-        if self.substrate is not None:
-            self.substrate.detach()
+        self.substrate.detach()
 
     # ------------------------------------------------------------------
     # helpers
@@ -219,17 +211,12 @@ class DynoScheduler:
     # detection + correction round
     # ------------------------------------------------------------------
 
-    def _detection_work_cost(self, nodes: int, edges: int) -> float:
-        """Virtual time for this round's detection work.
-
-        With the incremental substrate, charge the work it actually
-        performed since the last round (full-rate for rebuild fallbacks,
-        incremental-rate for cached/remap work); without it, charge a
-        from-scratch build over the whole graph.
+    def _detection_work_cost(self) -> float:
+        """Virtual time for this round's detection work: what the
+        substrate actually performed since the last round (full-rate
+        for rebuild fallbacks, incremental-rate for cached/remap work).
         """
         cost = self.manager.cost
-        if self.substrate is None:
-            return cost.detection(nodes, edges)
         full_nodes, full_edges, inc_nodes, inc_edges = (
             self.substrate.consume_work()
         )
@@ -244,11 +231,7 @@ class DynoScheduler:
             messages,
             self.manager.maintenance_queries,
             rewritten_query=self._speculative_rewrite,
-            detection=(
-                self.substrate.detection()
-                if self.substrate is not None
-                else None
-            ),
+            detection=self.substrate.detection(),
         )
         # Install the corrected order before charging the detection
         # delay: commits firing inside the delay window must append
@@ -256,7 +239,7 @@ class DynoScheduler:
         self.umq.replace_order(result.units)
         cost = self.manager.cost
         self._charge(
-            self._detection_work_cost(result.node_count, result.edge_count)
+            self._detection_work_cost()
             + cost.correction(result.node_count, result.edge_count),
             "detection",
         )
@@ -277,11 +260,7 @@ class DynoScheduler:
         result = merge_all(
             self.umq.messages(),
             self.manager.maintenance_queries,
-            detection=(
-                self.substrate.detection()
-                if self.substrate is not None
-                else None
-            ),
+            detection=self.substrate.detection(),
         )
         # Install before charging: commits firing inside the charge
         # window must append behind the merged order, not invalidate it
@@ -316,14 +295,8 @@ class DynoScheduler:
             # CD edges need a schema-change endpoint and SC-bearing
             # units are never admitted: no edge set to consult.
             dependencies = ()
-        elif self.substrate is not None:
-            dependencies = self.substrate.dependencies()
         else:
-            dependencies = find_dependencies(
-                self.umq.messages(),
-                self.manager.maintenance_queries,
-                rewritten_query=self._speculative_rewrite,
-            )
+            dependencies = self.substrate.dependencies()
         runs = find_safe_runs(units, policy, dependencies)
         if not runs:
             return
@@ -354,18 +327,33 @@ class DynoScheduler:
         If the same head unit breaks twice and correction does not
         change the schedule (possible when the conflict only exists
         against the *rewritten* definition mid-flight), merge the head
-        with the schema changes of the breaking source so the batch is
-        maintained atomically.  This preserves Dyno's termination
+        with the schema changes of the breaking source — and with every
+        unit of that source queued before its last change — so the
+        batch is maintained atomically.  This preserves Dyno's termination
         argument (Section 4.4) under adversarial interleavings.
         """
         units = list(self.umq.units)
         head = units[0]
         absorbed: list[MaintenanceUnit] = [head]
         rest: list[MaintenanceUnit] = []
-        for unit in units[1:]:
-            if any(
-                message.is_schema_change and message.source == broken_source
-                for message in unit
+        last_change = max(
+            (
+                index
+                for index, unit in enumerate(units)
+                if any(
+                    message.is_schema_change
+                    and message.source == broken_source
+                    for message in unit
+                )
+            ),
+            default=0,
+        )
+        for index, unit in enumerate(units[1:], start=1):
+            # Leaving an earlier update of the source behind its change
+            # would apply it twice: the change's maintenance reads source
+            # state that already holds it.
+            if index <= last_change and any(
+                message.source == broken_source for message in unit
             ):
                 absorbed.append(unit)
             else:
@@ -453,31 +441,14 @@ class DynoScheduler:
             for message in unit:
                 messages.append(message)
                 unit_of.append(unit_index)
-        if self.substrate is not None:
-            # Footprints and dependencies are served from the live
-            # substrate: one cached lookup per message instead of a
-            # full recomputation per deferral pass.
-            footprints = [
-                self.substrate.footprint_at(index)
-                for index in range(len(messages))
-            ]
-            dependencies = self.substrate.dependencies()
-        else:
-            resolver = NameResolver(messages)
-            footprints = [
-                footprint_of_update(
-                    message,
-                    self.manager.maintenance_queries,
-                    self._speculative_rewrite,
-                    resolver,
-                )
-                for message in messages
-            ]
-            dependencies = find_dependencies(
-                messages,
-                self.manager.maintenance_queries,
-                rewritten_query=self._speculative_rewrite,
-            )
+        # Footprints and dependencies are served from the live
+        # substrate: one cached lookup per message instead of a full
+        # recomputation per deferral pass.
+        footprints = [
+            self.substrate.footprint_at(index)
+            for index in range(len(messages))
+        ]
+        dependencies = self.substrate.dependencies()
         deferred: set[int] = set()
         for index, footprint in enumerate(footprints):
             if any(
@@ -507,13 +478,11 @@ class DynoScheduler:
         """
         deferred, nodes, edges = self._deferred_unit_indices()
         self.manager.metrics.graph_builds += 1
-        detection_cost = self._detection_work_cost(nodes, edges)
-        if self.substrate is not None:
-            # The pass itself sweeps cached footprints and propagates
-            # deferral along the edges: incremental-rate work.
-            detection_cost += self.manager.cost.detection_incremental(
-                nodes, edges
-            )
+        # The pass itself sweeps cached footprints and propagates
+        # deferral along the edges: incremental-rate work.
+        detection_cost = self._detection_work_cost() + (
+            self.manager.cost.detection_incremental(nodes, edges)
+        )
         if not deferred:
             self._counted_deferred_ids.clear()
             self._charge(detection_cost, "detection")

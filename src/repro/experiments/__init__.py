@@ -25,8 +25,6 @@ from .testbed import (
     build_sharded_testbed,
     build_testbed,
 )
-from .runtime_abl import run_runtime_ablation
-from .wallclock import run_wallclock_ablation
 
 __all__ = [
     "FigureResult",
@@ -47,10 +45,8 @@ __all__ = [
     "run_incremental_detection_ablation",
     "run_parallel_ablation",
     "run_recovery_ablation",
-    "run_runtime_ablation",
     "run_self_maintenance_ablation",
     "run_sharding_ablation",
     "run_snapshot_cache_ablation",
     "run_starvation_study",
-    "run_wallclock_ablation",
 ]

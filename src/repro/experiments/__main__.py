@@ -28,7 +28,6 @@ from . import (
     run_incremental_detection_ablation,
     run_parallel_ablation,
     run_recovery_ablation,
-    run_runtime_ablation,
     run_self_maintenance_ablation,
     run_sharding_ablation,
     run_snapshot_cache_ablation,
@@ -53,7 +52,6 @@ def _runners(
     checkpoint_every: int = 8,
     crash_seed: int | None = None,
     shards: int = 1,
-    shard_processes: int = 0,
 ) -> dict:
     tuples = _FULL_TUPLES if full else _QUICK_TUPLES
     # --seed overrides the workload seed of every runner that draws a
@@ -202,26 +200,6 @@ def _runners(
                 }
             ),
             **seeded,
-            # --shard-processes executes the swept multi-shard arms on
-            # OS worker processes (results bit-identical to inline).
-            shard_processes=shard_processes,
-        ),
-        "abl-runtime": lambda: run_runtime_ablation(
-            **(
-                {
-                    "du_count": 160,
-                    "tuples_per_relation": 240,
-                    "repeats": 3,
-                }
-                if full
-                else {}
-            ),
-            **seeded,
-            **(
-                {"process_counts": (0, shard_processes)}
-                if shard_processes
-                else {}
-            ),
         ),
     }
 
@@ -325,23 +303,11 @@ def main(argv: list[str] | None = None) -> int:
         "baselines are unchanged at the default of 1 — the multi-view "
         "shard sweep is the abl-sharding runner)",
     )
-    parser.add_argument(
-        "--shard-processes",
-        type=int,
-        default=0,
-        metavar="N",
-        help="execute sharded-warehouse arms across N OS worker "
-        "processes (the multi-core runtime, repro.core.runtime) "
-        "instead of the inline coordinator; results are bit-identical "
-        "— only wall-clock time moves.  Applies to abl-sharding's "
-        "swept arms and narrows abl-runtime's sweep to (0, N); the "
-        "default 0 keeps everything inline",
-    )
     arguments = parser.parse_args(argv)
     if arguments.shards < 1:
         parser.error("--shards must be >= 1")
-    if arguments.shard_processes < 0:
-        parser.error("--shard-processes must be >= 0")
+    if arguments.checkpoint_every < 1:
+        parser.error("--checkpoint-every must be >= 1")
 
     runners = _runners(
         arguments.full,
@@ -353,7 +319,6 @@ def main(argv: list[str] | None = None) -> int:
         arguments.checkpoint_every,
         arguments.crash_seed,
         arguments.shards,
-        arguments.shard_processes,
     )
     requested = (
         list(runners) if "all" in arguments.figures else arguments.figures

@@ -1022,14 +1022,12 @@ def _run_shard_arm(
     workers: int | None = None,
     fault_plan=None,
     crash_plan=None,
-    shard_processes: int = 0,
 ):
     """One sharded-warehouse arm of ABL-11.
 
     Returns ``(testbed, extents, committed, consistent)`` with extents
     as a view-name -> sorted-row-tuples dict, byte-comparable across
-    shard counts (and, since results are bit-identical by construction,
-    across ``shard_processes`` — 0 inline, N = OS worker processes).
+    shard counts.
     """
     from .testbed import build_sharded_testbed
 
@@ -1040,7 +1038,6 @@ def _run_shard_arm(
         parallel_workers=workers,
         fault_plan=fault_plan,
         crash_plan=crash_plan,
-        shard_processes=shard_processes,
     )
     testbed.schedule_du_workload(
         du_count, start=0.05, interval=0.05, seed=seed
@@ -1066,7 +1063,6 @@ def run_sharding_ablation(
     reads: int = 1_000_000,
     crash_seed: int = 1,
     fault_seed: int = 9,
-    shard_processes: int = 0,
 ) -> FigureResult:
     """ABL-11: sharded multi-scheduler warehouse + read front end.
 
@@ -1085,11 +1081,6 @@ def run_sharding_ablation(
     On top, ``reads`` point/scan reads (split over the two consistency
     levels) are replayed per shard count against the recorded install
     timelines, reporting p50/p99 latency and staleness.
-
-    ``shard_processes=N`` executes the swept multi-shard arms across N
-    OS worker processes (:mod:`repro.core.runtime`); results are
-    bit-identical, so every oracle comparison still holds — ABL-13
-    owns the wall-clock speedup story.
     """
     from ..core.strategies import OPTIMISTIC
     from ..frontend.reads import (
@@ -1129,12 +1120,7 @@ def run_sharding_ablation(
         arms = {}
         for label, strategy in (("pess", PESSIMISTIC), ("opt", OPTIMISTIC)):
             arm = _run_shard_arm(
-                strategy,
-                shards,
-                du_count,
-                tuples_per_relation,
-                seed,
-                shard_processes=shard_processes,
+                strategy, shards, du_count, tuples_per_relation, seed
             )
             arms[label] = arm
             testbed, extents, committed, consistent = arm

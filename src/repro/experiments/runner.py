@@ -33,12 +33,6 @@ class FigureResult:
     points: list[SeriesPoint] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     consistent: bool = True
-    #: what the numbers are measured in: ``"virtual"`` (cost-model
-    #: seconds — deterministic, regression-checked exactly), ``"wall"``
-    #: (``time.perf_counter`` seconds — jittery, regression-checked
-    #: against a generous tolerance band) or ``None`` (legacy figures,
-    #: checked with the guard's default tolerance)
-    timebase: str | None = None
 
     def add(self, x, **values: float) -> None:
         self.points.append(SeriesPoint(x, dict(values)))
@@ -92,8 +86,6 @@ class FigureResult:
             "notes": list(self.notes),
             "consistent": self.consistent,
         }
-        if self.timebase is not None:
-            document["timebase"] = self.timebase
         return json.dumps(document, indent=indent, sort_keys=True)
 
     def print(self) -> None:  # pragma: no cover - console convenience

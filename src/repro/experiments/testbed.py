@@ -421,7 +421,6 @@ def build_testbed(
     crash_plan=None,
     journal_dir=None,
     shards: int = 1,
-    executor: str | None = None,
 ) -> Testbed:
     """Create sources, load data, define the 6-way join view.
 
@@ -471,18 +470,7 @@ def build_testbed(
     multi-shard speedups come from :func:`build_sharded_testbed`'s
     multi-view workloads.  The default 1 keeps the classic path
     untouched.
-
-    ``executor`` selects the relational evaluator for the whole process
-    (``"compiled"`` — plan-compiling columnar kernel, the default — or
-    ``"naive"`` — the row-at-a-time oracle).  It only moves wall-clock
-    time: virtual costs are charged from the cost model, so every
-    simulated result is executor-invariant.  ``None`` leaves the
-    process-wide mode untouched.
     """
-    if executor is not None:
-        from ..relational.executor import set_executor_mode
-
-        set_executor_mode(executor)
     journal = journal or crash_plan is not None
     engine, rng = _populated_engine(
         tuples_per_relation, cost_model, seed, backend, snapshot_cache

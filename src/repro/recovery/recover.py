@@ -157,6 +157,10 @@ class RecoveryHarness:
         base_installed_units: list[list[Ref]] | None = None,
         base_skipped_units: list[list[Ref]] | None = None,
     ):
+        if checkpoint_every < 1:
+            raise ValueError(
+                f"checkpoint_every must be >= 1, got {checkpoint_every}"
+            )
         self.engine = engine
         self.manager = manager
         self.scheduler = scheduler

@@ -283,3 +283,24 @@ class TestForceProgressPreservesQueue:
         assert before == after  # multiset preserved
         assert scheduler.stats.forced_merges == 1
         assert manager.umq.head().is_batch  # head absorbed the SC
+
+    def test_absorbing_takes_earlier_updates_of_the_source(self):
+        # The SC may not be maintained ahead of a DU its source committed
+        # before it: the DU must ride along in the merged head unit.
+        engine, manager = build_bookstore(CostModel.free())
+        item = DataUpdate.insert(ITEM_SCHEMA, [(1, "B", "A", 9.5)])
+        schedule(
+            engine,
+            [
+                (0.0, "library", catalog_insert()),
+                (0.0, "retailer", item),
+                (0.0, "retailer", DropAttribute("Item", "Price")),
+                (0.0, "library", catalog_insert()),
+            ],
+        )
+        engine.drain_events()
+        scheduler = DynoScheduler(manager, PESSIMISTIC)
+        scheduler._force_progress("retailer")
+        head, *rest = manager.umq.units
+        assert [m.source for m in head] == ["library", "retailer", "retailer"]
+        assert [[m.source for m in unit] for unit in rest] == [["library"]]

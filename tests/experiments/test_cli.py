@@ -1,8 +1,35 @@
 """The ``python -m repro.experiments`` command-line runner."""
 
+import inspect
+
 import pytest
 
 import repro.experiments.__main__ as cli
+
+
+class FakeResult:
+    consistent = True
+
+    def table(self):
+        return "FAKE TABLE"
+
+
+def record_runs(monkeypatch, *names):
+    """Replace ``cli._runners`` with a fake whose ``fig09`` records the
+    named ``_runners`` arguments (one value, or a tuple of several) each
+    time it runs; returns the list of records."""
+    seen = []
+    signature = inspect.signature(cli._runners)
+
+    def fake_runners(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        values = tuple(bound.arguments[name] for name in names)
+        record = values[0] if len(values) == 1 else values
+        return {"fig09": lambda: seen.append(record) or FakeResult()}
+
+    monkeypatch.setattr(cli, "_runners", fake_runners)
+    return seen
 
 
 class TestArgumentHandling:
@@ -22,88 +49,24 @@ class TestArgumentHandling:
 
 class TestExecution:
     def test_runs_requested_figure(self, monkeypatch, capsys):
-        calls = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return "FAKE TABLE"
-
-        def fake_runners(
-            full,
-            seed=None,
-            snapshot_cache=False,
-            self_maintenance=False,
-            group_maintenance=False,
-            journal=False,
-            checkpoint_every=8,
-            crash_seed=None,
-            shards=1,
-            shard_processes=0,
-        ):
-            return {"fig09": lambda: calls.append(full) or FakeResult()}
-
-        monkeypatch.setattr(cli, "_runners", fake_runners)
+        calls = record_runs(monkeypatch, "full")
         assert cli.main(["fig09"]) == 0
         assert calls == [False]
         assert "FAKE TABLE" in capsys.readouterr().out
 
     def test_full_flag_threaded_through(self, monkeypatch):
-        seen = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return ""
-
-        monkeypatch.setattr(
-            cli,
-            "_runners",
-            lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {
-                "fig09": lambda: seen.append(full) or FakeResult()
-            },
-        )
+        seen = record_runs(monkeypatch, "full")
         cli.main(["fig09", "--full"])
         assert seen == [True]
 
     def test_seed_flag_threaded_through(self, monkeypatch):
-        seen = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return ""
-
-        monkeypatch.setattr(
-            cli,
-            "_runners",
-            lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {
-                "fig09": lambda: seen.append(seed) or FakeResult()
-            },
-        )
+        seen = record_runs(monkeypatch, "seed")
         cli.main(["fig09", "--seed", "42"])
         cli.main(["fig09"])
         assert seen == [42, None]
 
     def test_cache_flag_threaded_through(self, monkeypatch):
-        seen = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return ""
-
-        monkeypatch.setattr(
-            cli,
-            "_runners",
-            lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {
-                "fig09": lambda: seen.append(snapshot_cache) or FakeResult()
-            },
-        )
+        seen = record_runs(monkeypatch, "snapshot_cache")
         cli.main(["fig09", "--cache"])
         cli.main(["fig09", "--no-cache"])
         cli.main(["fig09"])
@@ -114,22 +77,7 @@ class TestExecution:
             cli.main(["fig09", "--cache", "--no-cache"])
 
     def test_self_maintenance_flag_threaded_through(self, monkeypatch):
-        seen = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return ""
-
-        monkeypatch.setattr(
-            cli,
-            "_runners",
-            lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {
-                "fig09": lambda: seen.append(self_maintenance)
-                or FakeResult()
-            },
-        )
+        seen = record_runs(monkeypatch, "self_maintenance")
         cli.main(["fig09", "--self-maintenance"])
         cli.main(["fig09", "--no-self-maintenance"])
         cli.main(["fig09"])
@@ -142,22 +90,7 @@ class TestExecution:
             )
 
     def test_batch_flag_threaded_through(self, monkeypatch):
-        seen = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return ""
-
-        monkeypatch.setattr(
-            cli,
-            "_runners",
-            lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {
-                "fig09": lambda: seen.append(group_maintenance)
-                or FakeResult()
-            },
-        )
+        seen = record_runs(monkeypatch, "group_maintenance")
         cli.main(["fig09", "--batch"])
         cli.main(["fig09", "--no-batch"])
         cli.main(["fig09"])
@@ -168,49 +101,29 @@ class TestExecution:
             cli.main(["fig09", "--batch", "--no-batch"])
 
     def test_recovery_flags_threaded_through(self, monkeypatch):
-        seen = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return ""
-
-        monkeypatch.setattr(
-            cli,
-            "_runners",
-            lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {
-                "fig09": lambda: seen.append(
-                    (journal, checkpoint_every, crash_seed)
-                )
-                or FakeResult()
-            },
+        seen = record_runs(
+            monkeypatch, "journal", "checkpoint_every", "crash_seed"
         )
         cli.main(["fig09", "--journal", "--checkpoint-every", "4"])
         cli.main(["fig09", "--crash-seed", "11"])
         cli.main(["fig09"])
         assert seen == [(True, 4, None), (False, 8, 11), (False, 8, None)]
 
+    @pytest.mark.parametrize("interval", ["0", "-2"])
+    def test_checkpoint_interval_must_be_positive(
+        self, monkeypatch, interval
+    ):
+        seen = record_runs(monkeypatch, "checkpoint_every")
+        with pytest.raises(SystemExit):
+            cli.main(["fig09", "--journal", "--checkpoint-every", interval])
+        assert seen == []
+
     def test_crash_seed_implies_journal_in_runners(self):
         runners = cli._runners(full=False, crash_seed=3)
         assert "fig12" in runners
 
     def test_shards_flag_threaded_through(self, monkeypatch):
-        seen = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return ""
-
-        monkeypatch.setattr(
-            cli,
-            "_runners",
-            lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {
-                "fig09": lambda: seen.append(shards) or FakeResult()
-            },
-        )
+        seen = record_runs(monkeypatch, "shards")
         cli.main(["fig09", "--shards", "4"])
         cli.main(["fig09"])
         assert seen == [4, 1]
@@ -222,69 +135,17 @@ class TestExecution:
     def test_sharding_ablation_registered(self):
         assert "abl-sharding" in cli._runners(full=False)
 
-    def test_shard_processes_flag_threaded_through(self, monkeypatch):
-        seen = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return ""
-
-        monkeypatch.setattr(
-            cli,
-            "_runners",
-            lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {
-                "fig09": lambda: seen.append(shard_processes)
-                or FakeResult()
-            },
-        )
-        cli.main(["fig09", "--shard-processes", "2"])
-        cli.main(["fig09"])
-        assert seen == [2, 0]
-
-    def test_shard_processes_must_be_nonnegative(self):
-        with pytest.raises(SystemExit):
-            cli.main(["fig09", "--shard-processes", "-1"])
-
-    def test_runtime_ablation_registered(self):
-        assert "abl-runtime" in cli._runners(full=False)
-
     def test_batch_and_cache_flags_compose(self, monkeypatch):
-        seen = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return ""
-
-        monkeypatch.setattr(
-            cli,
-            "_runners",
-            lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {
-                "fig09": lambda: seen.append(
-                    (snapshot_cache, group_maintenance)
-                )
-                or FakeResult()
-            },
-        )
+        seen = record_runs(monkeypatch, "snapshot_cache", "group_maintenance")
         cli.main(["fig09", "--cache", "--batch"])
         assert seen == [(True, True)]
 
     def test_all_runs_everything(self, monkeypatch):
         ran = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return ""
-
         monkeypatch.setattr(
             cli,
             "_runners",
-            lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {
+            lambda *args, **kwargs: {
                 name: (lambda n=name: ran.append(n) or FakeResult())
                 for name in ("fig09", "fig10")
             },
@@ -300,6 +161,6 @@ class TestExecution:
                 return ""
 
         monkeypatch.setattr(
-            cli, "_runners", lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {"fig09": BadResult}
+            cli, "_runners", lambda *args, **kwargs: {"fig09": BadResult}
         )
         assert cli.main(["fig09"]) == 1

@@ -6,7 +6,8 @@ full Dyno run — any strategy, with faults, with parallel workers, with
 the sharded coordinator, with schema changes conflicting mid-stream —
 must produce the identical final view extent, the identical committed
 ``(source, seqno)`` set *and the identical final virtual clock* whether
-the compiled plans or the naive oracle evaluate every query.  This is
+the compiled plans or the naive oracle evaluate every query, on the
+in-memory and on the sqlite source backend.  This is
 the run-level face of the per-query equivalence proven in
 ``test_executor_equivalence.py``.
 """
@@ -41,11 +42,13 @@ def _run(
     workers=None,
     fault_seed=None,
     shards=1,
+    backend="memory",
 ):
     set_executor_mode(mode)
     testbed = build_testbed(
         strategy,
         tuples_per_relation=30,
+        backend=backend,
         parallel_workers=workers,
         shards=shards,
     )
@@ -90,15 +93,17 @@ def assert_invariant(arm_kwargs):
     seed=st.integers(min_value=0, max_value=10_000),
     du_count=st.integers(min_value=1, max_value=20),
     sc_count=st.integers(min_value=0, max_value=3),
+    backend=st.sampled_from(["memory", "sqlite"]),
 )
 @settings(max_examples=20, deadline=None)
-def test_mode_invariance_serial(strategy, seed, du_count, sc_count):
+def test_mode_invariance_serial(strategy, seed, du_count, sc_count, backend):
     assert_invariant(
         dict(
             strategy=strategy,
             seed=seed,
             du_count=du_count,
             sc_count=sc_count,
+            backend=backend,
         )
     )
 

@@ -13,7 +13,7 @@ relation) keys, and SC-bearing or batch units must have run solo
 (the barrier rule that covers all conflict-dependency edges).
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.strategies import OPTIMISTIC, PESSIMISTIC
@@ -116,6 +116,11 @@ def test_parallel_matches_serial_oracle(
     sc_count=st.integers(min_value=0, max_value=2),
 )
 @settings(max_examples=15, deadline=None)
+# A forced merge here once absorbed src2's rename but left src2's
+# earlier-queued DUs behind it, so the serial oracle applied them twice.
+@example(
+    strategy=PESSIMISTIC, seed=15, workers=2, du_count=11, sc_count=2
+)
 def test_parallel_matches_serial_oracle_under_faults(
     strategy, seed, workers, du_count, sc_count
 ):

@@ -190,6 +190,13 @@ def test_checkpoint_truncates_and_seq_survives():
     assert checkpointed <= testbed.recovery.installed_refs()
 
 
+@pytest.mark.parametrize("interval", [0, -3])
+def test_nonpositive_checkpoint_interval_rejected(interval):
+    # An interval < 1 would checkpoint on every install, silently.
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        run_journaled(checkpoint_every=interval)
+
+
 def test_journal_metrics_accumulate():
     testbed = run_journaled()
     assert testbed.metrics.journal_entries == len(
