@@ -49,15 +49,21 @@ class SchemaHistory:
         self._attribute_now: dict[tuple[str, str], dict[str, str | None]] = {}
         #: (source, current relation) -> attributes added after the fact
         self._added: dict[tuple[str, str], list] = {}
+        #: bumped by every :meth:`record`; a translation computed under
+        #: one epoch is valid until the next
+        self.epoch = 0
 
     def is_empty(self) -> bool:
-        return not self._relation_now and not self._attribute_now
+        """True until the first change is recorded (translation is then
+        the identity)."""
+        return self.epoch == 0
 
     # ------------------------------------------------------------------
     # recording installed changes
     # ------------------------------------------------------------------
 
     def record(self, source: str, change: SchemaChange) -> None:
+        self.epoch += 1
         if isinstance(change, RenameRelation):
             self._rename_relation(source, change.old, change.new)
         elif isinstance(change, RenameAttribute):

@@ -29,11 +29,7 @@ from ..sim.engine import MaintenanceProcess, QueryAnswer
 from ..sources.messages import DataUpdate
 from ..views.definition import ViewDefinition
 from ..views.umq import MaintenanceUnit, UpdateMessageQueue
-from .compensation import (
-    CompensationLog,
-    compensate_answer,
-    pending_data_updates,
-)
+from .compensation import CompensationLog, compensate_answer
 from .decompose import (
     bfs_alias_order,
     connecting_joins,
@@ -134,11 +130,8 @@ def maintain_data_update(
             )
             assert isinstance(answer, QueryAnswer)
 
-            leaked = pending_data_updates(
-                umq.messages_behind(unit),
-                ref.source,
-                ref.relation,
-                answer.answered_at,
+            leaked = umq.leaked_updates(
+                unit, ref.source, ref.relation, answer.answered_at
             )
             # Self-join rule: probes of *later* occurrences of the
             # updated relation must see the pre-update state, so the

@@ -22,6 +22,8 @@ and decides their order.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from ..relational.delta import Delta
 from ..relational.executor import execute
 from ..relational.schema import RelationSchema
@@ -139,6 +141,10 @@ class ViewManager:
         )
         self.compensation_log = CompensationLog()
         self.schema_history = SchemaHistory()
+        #: id(message) -> (message, translation) for the history epoch
+        #: ``_translations_epoch`` (see :meth:`_translated`)
+        self._translations: dict[int, tuple] = {}
+        self._translations_epoch = 0
         self._sink = filtered_sink(self.umq, message_filter)
         self.wrappers: list[Wrapper] = []
         if attach_wrappers:
@@ -230,7 +236,7 @@ class ViewManager:
             pending.extend(wrapper.pending_messages())
         return pending
 
-    def _translated(self, message):
+    def _translate(self, message):
         """Map a data-update message through the schema history.
 
         Returns a message whose payload speaks the *current* schema
@@ -254,6 +260,33 @@ class ViewManager:
             message.committed_at,
             translated,
         )
+
+    def _translated(self, message):
+        """:meth:`_translate`, memoized per queued message.
+
+        A queued message is translated once per schema-history epoch,
+        not once per probe that looks past it.  Entries hold the message
+        itself, so a recycled ``id`` can never hit; the memo is emptied
+        when the epoch moves and an entry leaves when its unit installs
+        (:meth:`forget_translations`), so it stays bounded by the queue.
+        """
+        history = self.schema_history
+        if history.is_empty():
+            return message
+        if self._translations_epoch != history.epoch:
+            self._translations.clear()
+            self._translations_epoch = history.epoch
+        entry = self._translations.get(id(message))
+        if entry is not None and entry[0] is message:
+            return entry[1]
+        translated = self._translate(message)
+        self._translations[id(message)] = (message, translated)
+        return translated
+
+    def forget_translations(self, unit: MaintenanceUnit) -> None:
+        """Drop the memoized translations of an installed unit."""
+        for message in unit.messages:
+            self._translations.pop(id(message), None)
 
     # ------------------------------------------------------------------
     # the scheduler protocol (shared with MultiViewManager)
@@ -321,7 +354,7 @@ class ViewManager:
         ``pending_feed`` (zero-argument callable) overrides where
         compensation finds the messages pending *behind* this unit: the
         parallel executor removes a unit from the UMQ at dispatch, so
-        ``umq.messages_behind`` no longer answers for it — the executor
+        the queue no longer answers for it — the executor
         supplies the dispatch-time snapshot plus later arrivals instead.
         """
         outcome = yield from self.compute_unit(unit, pending_feed)
@@ -351,6 +384,7 @@ class ViewManager:
             self.journal.record_install(unit, [prepared])
             self.engine.crash_point("install.post_journal")
         self.apply_outcome(prepared, counted_updates=len(unit))
+        self.forget_translations(unit)
         self.engine.record_install(
             {self.view.name: len(self.mv.extent)}, install_messages(unit)
         )
@@ -510,11 +544,10 @@ class _UMQView:
     When a batch's data updates are maintained sequentially, updates
     later *within the same unit* must be compensated away exactly like
     queued updates behind the unit; this facade makes them visible to
-    :func:`~repro.maintenance.compensation.pending_data_updates` without
-    mutating the real queue.  It also translates every pending data
-    update through the manager's schema history, so compensation matches
-    updates committed under old relation/attribute names against the
-    current-name queries.
+    compensation without mutating the real queue.  It also translates
+    pending data updates through the manager's schema history, so
+    compensation matches updates committed under old relation/attribute
+    names against the current-name queries.
     """
 
     def __init__(
@@ -527,25 +560,44 @@ class _UMQView:
         #: dispatch, so the executor supplies its pending overlay
         self._pending_feed = pending_feed
 
-    def messages_behind(self, _sub_unit) -> list:
+    def leaked_updates(
+        self, _sub_unit, source: str, relation: str, answered_at: float
+    ) -> list:
+        """The pending data updates that leaked into an answer from
+        ``source`` on the current-name ``relation``, translated.
+
+        Equal to :func:`~repro.maintenance.compensation.pending_data_updates`
+        over every pending message translated, but the cheap tests (kind,
+        source, commit time, current relation name) run on the raw
+        message first and only the survivors are translated.
+        """
+        manager = self._manager
+        history = manager.schema_history
         behind = (
             self._pending_feed()
             if self._pending_feed is not None
-            else self._manager.umq.messages_behind(self._unit)
+            else manager.umq.messages_behind(self._unit)
         )
-        pending = (
-            self._extra
-            + behind
-            + self._manager._in_flight_messages()
+        horizon = answered_at + 1e-12
+        current = history.current_relation
+
+        def candidates(messages) -> list:
+            return [
+                message
+                for message in messages
+                if message.is_data_update
+                and message.source == source
+                and message.committed_at <= horizon
+                and current(source, message.payload.relation) == relation
+            ]
+
+        # In-unit messages are this run's own translations: translate
+        # them afresh rather than memoize objects no unit ever installs.
+        found = [manager._translate(m) for m in candidates(self._extra)]
+        found.extend(
+            manager._translated(m)
+            for m in candidates(
+                chain(behind, manager._in_flight_messages())
+            )
         )
-        if self._manager.schema_history.is_empty():
-            return pending
-        translated = []
-        for message in pending:
-            if not message.is_data_update:
-                translated.append(message)
-                continue
-            mapped = self._manager._translated(message)
-            if mapped is not None:
-                translated.append(mapped)
-        return translated
+        return [message for message in found if message is not None]

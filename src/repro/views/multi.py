@@ -206,6 +206,7 @@ class MultiViewManager:
             manager.apply_outcome(
                 outcome, counted_updates=len(unit) if index == 0 else 0
             )
+            manager.forget_translations(unit)
         self.engine.record_install(
             {
                 manager.view.name: len(manager.mv.extent)

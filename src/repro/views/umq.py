@@ -271,6 +271,22 @@ class UpdateMessageQueue:
             for message in later
         ]
 
+    def leaked_updates(
+        self,
+        unit: MaintenanceUnit,
+        source: str,
+        relation: str,
+        answered_at: float,
+    ) -> list[UpdateMessage]:
+        """The data updates behind ``unit`` that leaked into an answer
+        from ``source`` on ``relation`` evaluated at ``answered_at``."""
+        # imported here: the maintenance package imports this module
+        from ..maintenance.compensation import pending_data_updates
+
+        return pending_data_updates(
+            self.messages_behind(unit), source, relation, answered_at
+        )
+
     def replace_order(self, units: list[MaintenanceUnit]) -> None:
         """Install a corrected order; the message multiset must match."""
         current = Counter(id(message) for message in self.messages())

@@ -157,3 +157,23 @@ class TestTranslation:
             translated.delta.schema.attribute("key").type
             is AttributeType.INT
         )
+
+
+class TestEpoch:
+    def test_every_record_moves_the_epoch(self):
+        history = SchemaHistory()
+        assert history.epoch == 0
+        history.record("s", RenameRelation("R", "R2"))
+        history.record("s", CreateRelation(RelationSchema.of("T", ["x"])))
+        assert history.epoch == 2
+
+    def test_add_attribute_only_history_is_not_empty(self):
+        # Emptiness is the translate-nothing fast path: a history whose
+        # only change added an attribute still widens stale rows.
+        history = SchemaHistory()
+        history.record(
+            "s", AddAttribute("R", Attribute("c", AttributeType.STRING))
+        )
+        assert not history.is_empty()
+        translated = history.translate_data_update("s", du([(1, "x", "y")]))
+        assert translated.delta.count((1, "x", "y", None)) == 1
